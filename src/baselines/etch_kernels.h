@@ -24,7 +24,6 @@
 #include "streams/combinators.h"
 #include "streams/eval.h"
 #include "streams/parallel.h"
-#include "support/simd.h"
 
 #include <algorithm>
 
@@ -326,66 +325,6 @@ inline void filteredSpmvFusedParallel(ThreadPool &Pool,
             sumAll<S>(mulDenseLocate<S>(std::move(Row), XP));
       });
 }
-
-//===----------------------------------------------------------------------===//
-// Planner-scheduled variants: cache-blocked / SIMD schedules of the same
-// fused loops, selected by chooseSchedule (planner/indexing.h) from the
-// indexing-map classification rather than hand-picked constants. Every
-// variant reproduces its serial original bit for bit: per-output fp
-// accumulation order is preserved inside tiles (column blocks ascend, so
-// each row still sums its nonzeros in ascending-coordinate order), and
-// SIMD applies only to lanes that are independent outputs — never across a
-// reduction chain. The PR-2/3 oracle suites and the fuzz matrix gate this.
-//===----------------------------------------------------------------------===//
-
-/// Cache-blocked SpMV. `ColTile == 0` (or >= NumCols) runs the plain fused
-/// loop; otherwise columns are processed in ascending blocks of ColTile
-/// with one cursor per row, so the gathered x slice stays cache-resident.
-/// Row i's partial sum resumes from Y[i] exactly where the previous block
-/// left it — the addition sequence per row is identical to spmv's.
-void spmvTiled(const CsrMatrix<double> &A, const DenseVector<double> &X,
-               DenseVector<double> &Y, int64_t ColTile = 0);
-
-/// Row-parallel cache-blocked SpMV: rows are partitioned by cumulative nnz
-/// as in spmvParallel; each chunk runs the blocked loop over its own rows,
-/// so any chunk/thread configuration reproduces spmvTiled exactly.
-void spmvTiledParallel(ThreadPool &Pool, const CsrMatrix<double> &A,
-                       const DenseVector<double> &X, DenseVector<double> &Y,
-                       int64_t ColTile = 0, size_t Chunks = 0);
-
-/// Raw-loop Frobenius inner product Σ_{i,j} A∘B. The dense row levels of
-/// both CSR streams intersect at every i (mul of two dense levels is always
-/// ready), so like `inner` the outer accumulator absorbs a row sum for
-/// every row — including 0.0 for rows whose column intersection is empty.
-double innerTiled(const CsrMatrix<double> &A, const CsrMatrix<double> &B);
-
-/// Cache-blocked CSR matmul, linear-combination ordering. Identical
-/// traversal to mmul — per output row, each workspace slot W[k] receives
-/// its contributions in ascending j — but with the k range optionally
-/// processed in ascending blocks of ColTile (one cursor per entry of A's
-/// row), bounding the scattered workspace writes to a cache-resident
-/// window when B is wide. Touched bookkeeping (including the duplicate
-/// push when a partial sum cancels to exactly 0.0) fires at the same
-/// contribution as in mmul, so C matches bit for bit.
-CsrMatrix<double> mmulTiled(const CsrMatrix<double> &A,
-                            const CsrMatrix<double> &B, int64_t ColTile = 0);
-
-/// MTTKRP with a vectorized dense-value tail. The j loop's lanes are
-/// independent outputs — ARow[j] += (V·C[k,j])·D[l,j] touches no other
-/// lane — so the SIMD body applies the exact scalar op sequence per lane
-/// and the result is bit-identical to mttkrp for any R. The scalar tail
-/// loop always compiles and covers the whole range when SIMD is off.
-void mttkrpTiled(const CsfTensor3<double> &B, const std::vector<double> &C,
-                 const std::vector<double> &D, int64_t R,
-                 std::vector<double> &A, bool Simd = true);
-
-/// Fiber-parallel mttkrpTiled: same partitioning as mttkrpParallel (each
-/// chunk owns disjoint output rows), same per-row loops as mttkrpTiled.
-void mttkrpTiledParallel(ThreadPool &Pool, const CsfTensor3<double> &B,
-                         const std::vector<double> &C,
-                         const std::vector<double> &D, int64_t R,
-                         std::vector<double> &A, bool Simd = true,
-                         size_t Chunks = 0);
 
 /// The unfused baseline: materialise the full SpMV, then apply the filter.
 inline void filteredSpmvUnfused(const CsrMatrix<double> &A,

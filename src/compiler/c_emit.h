@@ -145,17 +145,6 @@ struct CKernelOptions {
   /// consumption and the VM's "step budget exhausted" error. Off by default:
   /// production kernels skip the counter so the C optimizer can vectorize.
   bool CountSteps = false;
-  /// When >= 2 (and steps are not counted), every `while (i < n)` loop
-  /// whose bound is loop-invariant — the shape of a dense tail — is
-  /// emitted blocked: an outer loop re-evaluates the full condition (and
-  /// its definedness guards) once per block of this many iterations, and
-  /// a counted inner loop runs the body against a precomputed block end.
-  /// The state sequence is identical for *any* body, because the inner
-  /// bound is min(i + tile, n) and the outer loop rechecks `i < n`, so
-  /// this is observable-behavior-preserving, not a heuristic. The planner
-  /// (planner/indexing.h) passes its chosen tile through
-  /// JitOptions::TileDenseTails.
-  int64_t TileDenseTails = 0;
 };
 
 /// Renders \p Body as a self-contained kernel translation unit against

@@ -510,7 +510,6 @@ NativeKernelRef etch::jitCompile(const PRef &Body, const JitOptions &Opts,
 
   CKernelOptions KO;
   KO.CountSteps = Opts.CountSteps;
-  KO.TileDenseTails = Opts.TileDenseTails;
   std::string Source = emitCKernel(Body, *Manifest, KO);
 
   if (Opts.MaxSourceBytes && Source.size() > Opts.MaxSourceBytes) {

@@ -107,12 +107,6 @@ struct JitOptions {
   /// Count steps exactly like the tree VM (for parity gating); production
   /// kernels leave this off so the C optimizer is unconstrained.
   bool CountSteps = false;
-  /// Emit loop-invariant-bound while loops blocked into counted inner
-  /// loops of this many iterations (see CKernelOptions::TileDenseTails;
-  /// ignored when CountSteps is on). The tile is part of the generated
-  /// source, hence of the content-address — distinct tiles cache as
-  /// distinct kernels.
-  int64_t TileDenseTails = 0;
   /// Cache directory override (see jitCacheDir).
   std::string CacheDir;
   /// Extra content folded into the cache key (e.g. a format-layout tag).

@@ -13,7 +13,8 @@
 ///   - `Init`  : code establishing the initial state (paper's `init`);
 ///   - `Valid` : termination check; `Ready`, `Index` as in the model;
 ///   - `Skip0` / `Skip1`: code advancing the state to the first index
-///     >= i / > i (the split of `skip`'s boolean argument, as in Fig. 13);
+///     >= i / > i (the split of `skip`'s boolean argument, as in Fig. 13),
+///     built at code-generation time with the compilation's NameGen;
 ///   - the value is either a scalar expression (leaf) or a nested
 ///     syntactic stream whose Init reads this level's state.
 ///
@@ -43,6 +44,11 @@ struct VarDecl {
 class SynStream;
 using SynRef = std::shared_ptr<const SynStream>;
 
+/// Code advancing a level's state to (or past) index \p I. Skips that
+/// latch a temporary draw its name from \p G, the compilation's own
+/// generator, so equal expressions lower to equal programs.
+using SkipFn = std::function<PRef(NameGen &G, ERef I)>;
+
 /// A stream's value: exactly one of a scalar expression or a nested stream.
 struct SynValue {
   ERef Scalar;
@@ -62,8 +68,8 @@ public:
   ERef Index;
   bool Contracted = false;
   SynValue Value;
-  std::function<PRef(ERef)> Skip0; ///< Advance to first index >= i.
-  std::function<PRef(ERef)> Skip1; ///< Advance to first index > i.
+  SkipFn Skip0; ///< Advance to first index >= i.
+  SkipFn Skip1; ///< Advance to first index > i.
 
   SynStream() = default;
 };

@@ -834,93 +834,6 @@ void runFormatsTyped(const FuzzCase &C, const FuzzTyping &Ty,
                     " compressed=" + impToStr(*COut[K]));
 }
 
-/// The dense-tail tiling matrix: one O2/gallop lowering, run on the tree
-/// VM and on native kernels at several TileDenseTails values, all
-/// cross-checked bit-for-bit. Tiles chosen to force both degenerate
-/// blocks (tile 3: many boundary re-checks) and whole-loop blocks
-/// (tile 1024: most fuzz extents fit one block).
-template <Semiring S>
-void runTilesTyped(const FuzzCase &C, FuzzReport &Rep) {
-  ValueContext<S> Inputs;
-  for (const FuzzTensor &T : C.Tensors)
-    Inputs.emplace(T.Name, fuzzTensorRelation<S>(T));
-  KRelation<S> Want = densifyAll<S>(evalT<S>(C.E, Inputs), C);
-  typename S::Value WantTotal = S::zero();
-  for (const auto &[Tu, V] : Want.entries())
-    WantTotal = S::add(WantTotal, V);
-  Mats<S> M = materialize<S>(C);
-
-  const ScalarAlgebra *Alg = algebraFor(C.SemiringName);
-  ETCH_ASSERT(Alg, "dispatch guarantees a known semiring");
-  LowerCtx Ctx;
-  Ctx.Alg = Alg;
-  Ctx.OptLevel = 2;
-  for (const auto &[A, N] : C.Dims)
-    Ctx.setDim(A, N);
-  for (const FuzzTensor &T : C.Tensors)
-    Ctx.bind(bindingFor(T, SearchPolicy::Gallop, VecOverride::None, 0));
-  PRef Prog = compileFullContraction(Ctx, C.E, "out");
-
-  // Tree VM reference. A step-budget exhaustion here is not comparable to
-  // the uncounted native legs, so the bit anchor only applies on success.
-  std::optional<ImpValue> TreeOut;
-  {
-    VmMemory Mem;
-    for (const FuzzTensor &T : C.Tensors)
-      bindArrays<S>(Mem, T, M, VecOverride::None);
-    VmRunResult R = vmRun(Prog, Mem);
-    if (R.ok())
-      TreeOut = checkVmOut<S>(C, Mem, R, WantTotal, "tiles/vm/O2", Rep);
-  }
-
-  const int64_t Tiles[] = {0, 3, 1024};
-  constexpr int NTiles = 3;
-  std::optional<ImpValue> Out[NTiles];
-  std::string Err[NTiles];
-  for (int K = 0; K < NTiles; ++K) {
-    std::string Tag = "tiles/nvm/t" + std::to_string(Tiles[K]);
-    JitOptions JO;
-    JO.CountSteps = false;
-    JO.TileDenseTails = Tiles[K];
-    std::string JitErr;
-    NativeKernelRef Kern = jitCompile(Prog, JO, &JitErr);
-    if (!Kern) {
-      // The source-size cap is a designed decline; anything else is an
-      // emitter gap. Either way the cross-checks below are meaningless
-      // with a leg missing.
-      if (JitErr.rfind(JitSourceTooLargePrefix, 0) != 0)
-        reportDiv(Rep, C, Tag, "jit compile error: " + JitErr);
-      return;
-    }
-    VmMemory Mem;
-    for (const FuzzTensor &T : C.Tensors)
-      bindArrays<S>(Mem, T, M, VecOverride::None);
-    VmRunResult R = Kern->run(Mem);
-    Err[K] = R.Error ? *R.Error : "";
-    if (R.ok())
-      Out[K] = checkVmOut<S>(C, Mem, R, WantTotal, Tag, Rep);
-  }
-
-  // The blocked emission must be invisible: identical error text and
-  // bit-identical 'out' across every tile, and bit-identical to the tree
-  // VM whenever both succeeded.
-  for (int K = 1; K < NTiles; ++K) {
-    std::string Tag = "tiles/plain-vs-t" + std::to_string(Tiles[K]);
-    if (Err[0] != Err[K])
-      reportDiv(Rep, C, Tag,
-                "errors differ: plain='" + Err[0] + "' tiled='" + Err[K] +
-                    "'");
-    if (Out[0] && Out[K] && !impBitsEq(*Out[0], *Out[K]))
-      reportDiv(Rep, C, Tag,
-                "'out' differs bit-wise: plain=" + impToStr(*Out[0]) +
-                    " tiled=" + impToStr(*Out[K]));
-  }
-  if (TreeOut && Out[0] && !impBitsEq(*TreeOut, *Out[0]))
-    reportDiv(Rep, C, "tiles/tree-vs-plain",
-              "'out' differs bit-wise: tree=" + impToStr(*TreeOut) +
-                  " native=" + impToStr(*Out[0]));
-}
-
 } // namespace
 
 std::string FuzzReport::toString() const {
@@ -953,30 +866,6 @@ FuzzReport etch::runFuzzCase(const FuzzCase &C, ThreadPool &Pool,
     runTyped<BoolSemiring>(C, *Ty, Pool, Backend, Rep);
   else if (C.SemiringName == "minplus")
     runTyped<MinPlusSemiring>(C, *Ty, Pool, Backend, Rep);
-  else {
-    Rep.Invalid = true;
-    Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";
-  }
-  return Rep;
-}
-
-FuzzReport etch::runFuzzTiles(const FuzzCase &C) {
-  FuzzReport Rep;
-  std::string Err;
-  auto Ty = fuzzValidate(C, &Err);
-  if (!Ty) {
-    Rep.Invalid = true;
-    Rep.ValidationError = Err;
-    return Rep;
-  }
-  if (C.SemiringName == "f64")
-    runTilesTyped<F64Semiring>(C, Rep);
-  else if (C.SemiringName == "i64")
-    runTilesTyped<I64Semiring>(C, Rep);
-  else if (C.SemiringName == "bool")
-    runTilesTyped<BoolSemiring>(C, Rep);
-  else if (C.SemiringName == "minplus")
-    runTilesTyped<MinPlusSemiring>(C, Rep);
   else {
     Rep.Invalid = true;
     Rep.ValidationError = "unknown semiring '" + C.SemiringName + "'";

@@ -102,23 +102,6 @@ FuzzReport runFuzzFormats(const FuzzCase &C, ThreadPool &Pool,
 FuzzReport runFuzzFormats(const FuzzCase &C,
                           VmBackend Backend = VmBackend::Both);
 
-/// The dense-tail tiling cross-check (`etch-fuzz --tiles`): the case is
-/// lowered once at O2/gallop and run through
-///
-///   - the tree VM (the oracle-anchored reference for output bits);
-///   - the native backend uncounted and untiled ("tiles/nvm/t0");
-///   - the native backend with `JitOptions::TileDenseTails` at a small and
-///     a large tile ("tiles/nvm/t3", "tiles/nvm/t1024"), i.e. the blocked
-///     loop emission the planner's kernel schedules enable.
-///
-/// Every native leg is checked against the oracle total, every tiled leg
-/// bit-for-bit (values and error text) against the untiled leg, and the
-/// untiled leg bit-for-bit against the tree VM — the blocked transform
-/// must be completely invisible. Uncounted kernels have no step parity,
-/// so steps are not compared. Requires a toolchain (the driver checks
-/// jitToolchain() up front); a source-size decline skips the case.
-FuzzReport runFuzzTiles(const FuzzCase &C);
-
 /// The oracle's fully contracted total for \p C, both as exact text and as
 /// a double (for the f64 tolerance). Used by the order sweep
 /// (fuzz/reorder.h) to check cross-order agreement. Nullopt if the case is

@@ -1,4 +1,4 @@
-//===- planner/indexing.cpp - Access indexing maps and schedules ----------===//
+//===- planner/indexing.cpp - Access indexing maps ------------------------===//
 //
 // Part of the etch project.
 //
@@ -7,10 +7,7 @@
 #include "planner/indexing.h"
 
 #include "support/assert.h"
-#include "support/simd.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace etch {
@@ -28,12 +25,6 @@ const char *accessPatternName(AccessPattern P) {
 }
 
 namespace {
-
-std::string fmtNum(double X) {
-  char Buf[32];
-  std::snprintf(Buf, sizeof(Buf), "%.3g", X);
-  return Buf;
-}
 
 const char *kindName(LevelSpec::Kind K) {
   switch (K) {
@@ -199,115 +190,6 @@ std::string IndexingInfo::toString() const {
     OS << "\n";
   }
   return OS.str();
-}
-
-//===----------------------------------------------------------------------===//
-// Kernel schedule selection
-//===----------------------------------------------------------------------===//
-
-KernelSchedule chooseSchedule(const PlanQuery &Q, const Plan &P,
-                              const IndexingInfo &Info,
-                              const ScheduleOptions &SO) {
-  KernelSchedule KS;
-  int64_t Width = SO.SimdWidth > 0 ? SO.SimdWidth : simdWidth();
-  std::ostringstream Why;
-
-  if (P.Order.empty()) {
-    KS.Reason = "scalar plan: nothing to schedule";
-    return KS;
-  }
-
-  // SIMD on the innermost loop: legal for bit-identity only when each lane
-  // is an independent output — the attribute must be free (a summed
-  // innermost loop is a serial accumulation chain; splitting it into lanes
-  // reassociates fp addition). Profitable only when every located access
-  // at the level streams dense values sequentially (a gather would
-  // serialize the vector anyway) and the extent covers a vector.
-  Attr Inner = P.Order.back();
-  bool InnerFree = false, InnerSeen = false;
-  for (const PlanTerm &T : Q.Terms) {
-    if (!shapeContains(T.allAttrs(), Inner))
-      continue;
-    InnerSeen = true;
-    InnerFree = !std::count(T.Summed.begin(), T.Summed.end(), Inner);
-  }
-  bool InnerDenseSeq = InnerSeen;
-  for (const AccessIndexing &A : Info.Accesses)
-    for (const LevelIndexing &LX : A.Levels)
-      if (LX.A == Inner &&
-          !(LX.Kind == LevelSpec::Dense &&
-            LX.Pattern == AccessPattern::Sequential))
-        InnerDenseSeq = false;
-  int64_t InnerExtent = Q.dimOf(Inner);
-  if (Width > 1 && InnerSeen && InnerFree && InnerDenseSeq &&
-      InnerExtent >= Width) {
-    KS.Simd = true;
-    Why << "simd: inner " << Inner.name() << " free, dense sequential, "
-        << InnerExtent << " >= " << Width << " lanes";
-  } else {
-    Why << "scalar: inner " << Inner.name()
-        << (!InnerFree        ? " is a reduction"
-            : !InnerDenseSeq  ? " has non-sequential access"
-            : Width <= 1      ? " (simd compiled out)"
-                              : " too narrow");
-  }
-
-  // Tiling: find the widest gathered dense operand. Its working set is
-  // extent × sizeof(double); once that spills L1 the gathers miss, and
-  // bounding the gathered coordinate range to a tile restores residency.
-  // The tile is sized so the blocked slice fills half of L1 (the other
-  // half holds the driving stream's own arrays).
-  int64_t WorstGather = 0;
-  std::string WorstName;
-  for (const AccessIndexing &A : Info.Accesses)
-    for (const LevelIndexing &LX : A.Levels)
-      if (LX.Pattern == AccessPattern::Gather &&
-          LX.Kind == LevelSpec::Dense) {
-        int64_t Bytes = Q.dimOf(LX.A) * static_cast<int64_t>(sizeof(double));
-        if (Bytes > WorstGather) {
-          WorstGather = Bytes;
-          WorstName = A.BindName + "(" + LX.A.name() + ")";
-        }
-      }
-  // The output workspace scatters too: a free attribute with a summed loop
-  // *outside* it is rewritten once per iteration of that reduction (the
-  // linear-combination matmul's W[k] += ... restarts k for every j), so
-  // the whole dense output row is a gathered operand. A free attribute
-  // with no enclosing reduction is written monotonically as its loop
-  // advances — streaming, never a reason to tile.
-  for (const PlanTerm &T : Q.Terms) {
-    bool SummedSeen = false;
-    for (Attr A : P.Order) {
-      if (std::count(T.Summed.begin(), T.Summed.end(), A)) {
-        SummedSeen = true;
-        continue;
-      }
-      if (!SummedSeen || !shapeContains(T.Free, A))
-        continue;
-      int64_t Bytes = Q.dimOf(A) * static_cast<int64_t>(sizeof(double));
-      if (Bytes > WorstGather) {
-        WorstGather = Bytes;
-        WorstName = std::string("output(") + A.name() + ")";
-      }
-    }
-  }
-  if (WorstGather > SO.L1Bytes) {
-    KS.Tiled = true;
-    KS.ColTile = std::max<int64_t>(
-        SO.L1Bytes / 2 / static_cast<int64_t>(sizeof(double)), 1);
-    Why << "; tiled: " << WorstName << " gathers "
-        << fmtNum(static_cast<double>(WorstGather)) << "B > L1 "
-        << fmtNum(static_cast<double>(SO.L1Bytes)) << "B, tile "
-        << KS.ColTile;
-  } else if (WorstGather > 0) {
-    Why << "; untiled: gathered operand "
-        << fmtNum(static_cast<double>(WorstGather)) << "B fits L1";
-  } else {
-    Why << "; untiled: no gathered dense operand";
-  }
-
-  KS.Reason = Why.str();
-  return KS;
 }
 
 } // namespace etch

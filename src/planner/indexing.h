@@ -1,4 +1,4 @@
-//===- planner/indexing.h - Access indexing maps and schedules -*- C++ -*-===//
+//===- planner/indexing.h - Access indexing maps ----------------*- C++ -*-===//
 //
 // Part of the etch project.
 //
@@ -23,15 +23,10 @@
 ///     the driver's crd array), or any non-driving compressed/hashed level
 ///     (each visit searches or probes its fiber).
 ///
-/// The classification feeds two consumers. First, a new access-pattern
-/// term in `PlanCost` (`Plan::AccessCost`, rendered by EXPLAIN): gathers
-/// and wide strides touch memory the prefetcher cannot predict, so two
-/// orders with equal iteration counts no longer tie when one of them
-/// streams its operands. Second, `chooseSchedule` turns the classification
-/// plus `TensorStats` into a concrete kernel schedule — tile sizes and
-/// tiled-vs-plain / SIMD-vs-scalar decisions — so the tiled kernel
-/// variants in baselines/etch_kernels.h are selected by the planner
-/// rather than by hand-picked constants.
+/// The classification prices an access-pattern term in `PlanCost`
+/// (`Plan::AccessCost`, rendered by EXPLAIN): gathers and wide strides
+/// touch memory the prefetcher cannot predict, so two orders with equal
+/// iteration counts no longer tie when one of them streams its operands.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -92,51 +87,6 @@ struct IndexingInfo {
 /// it rather than storing it.
 IndexingInfo analyzeIndexing(const PlanQuery &Q, const Plan &P,
                              const PlanOptions &O = {});
-
-//===----------------------------------------------------------------------===//
-// Kernel schedule selection
-//===----------------------------------------------------------------------===//
-
-/// Cache-model constants for schedule selection. Conservative defaults for
-/// contemporary x86/ARM cores; tests override them to force decisions.
-struct ScheduleOptions {
-  int64_t L1Bytes = 32 * 1024;
-  int64_t L2Bytes = 256 * 1024;
-  /// Lanes of the compiled-in portable SIMD type (support/simd.h); 1 when
-  /// SIMD is compiled out, making every SIMD decision a scalar no-op.
-  int64_t SimdWidth = 0; ///< 0 = use the compiled-in etch::simdWidth().
-};
-
-/// A concrete schedule for a fused kernel, chosen by the planner.
-struct KernelSchedule {
-  bool Tiled = false;  ///< Run the cache-blocked variant.
-  bool Simd = false;   ///< Vectorize the dense-value tail loop.
-  /// Column/tail tile in elements when Tiled (sized so the gathered
-  /// operand's blocked working set fits half of L1); 0 = no blocking.
-  int64_t ColTile = 0;
-  std::string Reason;  ///< Human-readable decision trace (one line).
-};
-
-/// Chooses the kernel schedule for \p P from the indexing classification
-/// and the query's statistics:
-///
-///   - SIMD exactly when the innermost loop attribute is free (each lane
-///     is an independent output, so per-lane IEEE ops reproduce the scalar
-///     kernel bit for bit), every located access at it is dense
-///     sequential, and its extent covers at least one vector;
-///   - tiling exactly when some gathered dense operand's working set
-///     (extent × element size) exceeds L1 — the tile bounds the gather
-///     range so the blocked slice stays cache-resident. Gathered operands
-///     include the output workspace when a free attribute sits inside a
-///     reduction loop (the whole output row is rewritten per reduction
-///     step, as in the linear-combination matmul's workspace).
-///
-/// Never fires on reductions over summed innermost attributes: collapsing
-/// a serial accumulation chain into lanes would reassociate floating-point
-/// addition and break bit-identity.
-KernelSchedule chooseSchedule(const PlanQuery &Q, const Plan &P,
-                              const IndexingInfo &Info,
-                              const ScheduleOptions &SO = {});
 
 } // namespace etch
 

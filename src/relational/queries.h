@@ -124,19 +124,6 @@ int64_t triangleFused(const TrianglePrepared &P);
 int64_t triangleFusedParallel(ThreadPool &Pool, const TrianglePrepared &P,
                               size_t Chunks = 0);
 
-/// The planner-scheduled variant of triangleFused: the same GenericJoin
-/// intersections as raw galloping merges over the trie arrays (preserving
-/// the worst-case-optimal skip behavior of the Gallop stream policy),
-/// with no stream-object state between levels. Bit-identical to
-/// triangleFused — the count is an exact integer sum.
-int64_t triangleFusedTiled(const TrianglePrepared &P);
-
-/// triangleFusedTiled with the outermost a intersection partitioned into
-/// contiguous ranges of R's top trie level across \p Pool; per-chunk
-/// counts reduce in chunk order (exact for the integer semiring).
-int64_t triangleFusedTiledParallel(ThreadPool &Pool,
-                                   const TrianglePrepared &P,
-                                   size_t Chunks = 0);
 int64_t triangleRowStore(const EdgeList &Rab, const EdgeList &Sbc,
                          const EdgeList &Tca, const TrianglePrepared &P);
 

@@ -122,120 +122,6 @@ int64_t etch::triangleFusedParallel(ThreadPool &Pool,
                            partitionSparse(P.R.stream(), Chunks));
 }
 
-namespace {
-
-/// First position in [Lo, Hi) whose coordinate reaches \p Target:
-/// exponential search from Lo then binary over the bracketed range — the
-/// same skip the trie streams' Gallop policy performs, so the raw-merge
-/// triangle keeps the worst-case-optimal bound.
-size_t gallopTo(const Idx *Crd, size_t Lo, size_t Hi, Idx Target) {
-  if (Lo >= Hi || Crd[Lo] >= Target)
-    return Lo;
-  size_t Step = 1, Prev = Lo;
-  while (Lo + Step < Hi && Crd[Lo + Step] < Target) {
-    Prev = Lo + Step;
-    Step <<= 1;
-  }
-  size_t A = Prev + 1, B = std::min(Hi, Lo + Step + 1);
-  while (A < B) {
-    size_t M = A + (B - A) / 2;
-    if (Crd[M] < Target)
-      A = M + 1;
-    else
-      B = M;
-  }
-  return A;
-}
-
-/// The GenericJoin loop nest over one contiguous range [PaLo, PaHi) of R's
-/// top (a) level, as raw galloping merges over the trie arrays.
-int64_t triangleRangeRaw(const TrianglePrepared &P, size_t PaLo,
-                         size_t PaHi) {
-  const Idx *RA = P.R.Crd[0].data();
-  const size_t *RPos = P.R.Pos[0].data();
-  const Idx *RB = P.R.Crd[1].data();
-  const int64_t *RV = P.R.Val.data();
-  const Idx *SB = P.S.Crd[0].data();
-  const size_t *SPos = P.S.Pos[0].data();
-  const Idx *SC = P.S.Crd[1].data();
-  const int64_t *SV = P.S.Val.data();
-  const Idx *TA = P.T.Crd[0].data();
-  const size_t *TPos = P.T.Pos[0].data();
-  const Idx *TC = P.T.Crd[1].data();
-  const int64_t *TV = P.T.Val.data();
-  const size_t Es = P.S.Crd[0].size();
-  const size_t Et = P.T.Crd[0].size();
-
-  int64_t Count = 0;
-  size_t Pa = PaLo, Pt = 0;
-  while (Pa < PaHi && Pt < Et) {
-    const Idx Aa = RA[Pa], At = TA[Pt];
-    if (Aa < At) {
-      Pa = gallopTo(RA, Pa, PaHi, At);
-    } else if (At < Aa) {
-      Pt = gallopTo(TA, Pt, Et, Aa);
-    } else {
-      size_t Pb = RPos[Pa];
-      const size_t Eb = RPos[Pa + 1];
-      size_t Ps = 0;
-      while (Pb < Eb && Ps < Es) {
-        const Idx Bb = RB[Pb], Bs = SB[Ps];
-        if (Bb < Bs) {
-          Pb = gallopTo(RB, Pb, Eb, Bs);
-        } else if (Bs < Bb) {
-          Ps = gallopTo(SB, Ps, Es, Bb);
-        } else {
-          size_t Pc = SPos[Ps];
-          const size_t Ec = SPos[Ps + 1];
-          size_t Pu = TPos[Pt];
-          const size_t Eu = TPos[Pt + 1];
-          while (Pc < Ec && Pu < Eu) {
-            const Idx Cs = SC[Pc], Ct = TC[Pu];
-            if (Cs < Ct) {
-              Pc = gallopTo(SC, Pc, Ec, Ct);
-            } else if (Ct < Cs) {
-              Pu = gallopTo(TC, Pu, Eu, Cs);
-            } else {
-              Count += RV[Pb] * (SV[Pc] * TV[Pu]);
-              ++Pc;
-              ++Pu;
-            }
-          }
-          ++Pb;
-          ++Ps;
-        }
-      }
-      ++Pa;
-      ++Pt;
-    }
-  }
-  return Count;
-}
-
-} // namespace
-
-int64_t etch::triangleFusedTiled(const TrianglePrepared &P) {
-  return triangleRangeRaw(P, 0, P.R.Crd[0].size());
-}
-
-int64_t etch::triangleFusedTiledParallel(ThreadPool &Pool,
-                                         const TrianglePrepared &P,
-                                         size_t Chunks) {
-  if (Chunks == 0)
-    Chunks = Pool.threadCount() * 4;
-  const size_t N = P.R.Crd[0].size();
-  const size_t Per = std::max<size_t>(1, (N + Chunks - 1) / Chunks);
-  const size_t NChunks = N == 0 ? 1 : (N + Per - 1) / Per;
-  std::vector<int64_t> Partial(NChunks, 0);
-  Pool.parallelFor(NChunks, [&](size_t C) {
-    Partial[C] = triangleRangeRaw(P, C * Per, std::min(N, (C + 1) * Per));
-  });
-  int64_t Count = 0;
-  for (int64_t V : Partial)
-    Count += V;
-  return Count;
-}
-
 int64_t etch::triangleFused(const EdgeList &Rab, const EdgeList &Sbc,
                             const EdgeList &Tca) {
   return triangleFused(*trianglePrepare(Rab, Sbc, Tca));

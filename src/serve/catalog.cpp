@@ -47,7 +47,8 @@ uint64_t TensorCatalog::installLocked(std::shared_ptr<CatalogTensor> T) {
 
 uint64_t TensorCatalog::putCsr(const std::string &Name, CsrMatrix<double> M,
                                Attr Row, Attr Col) {
-  ETCH_ASSERT(Row < Col, "attributes must follow the global order");
+  if (!(Row < Col))
+    return 0;
   std::lock_guard<std::mutex> W(WriterMu);
   auto T = std::make_shared<CatalogTensor>();
   T->Name = Name;
@@ -102,9 +103,8 @@ uint64_t TensorCatalog::appendCsr(const std::string &Name,
     return 0;
   const CsrMatrix<double> &M = Old->Csr;
   for (const CooEntry<double> &E : Delta)
-    ETCH_ASSERT(E.Row >= 0 && E.Row < M.NumRows && E.Col >= 0 &&
-                    E.Col < M.NumCols,
-                "append entry out of range");
+    if (E.Row < 0 || E.Row >= M.NumRows || E.Col < 0 || E.Col >= M.NumCols)
+      return 0;
   // Sort only the delta; the predecessor is already row-major. One
   // two-pointer merge pass per row builds the successor, dropping sums
   // that cancel to exact zero.
@@ -170,6 +170,9 @@ TensorCatalog::appendSparse(const std::string &Name,
   if (!Old || Old->K != CatalogTensor::Kind::Sparse)
     return 0;
   const SparseVector<double> &V = Old->Sparse;
+  for (const auto &E : Delta)
+    if (E.first < 0 || E.first >= V.Size)
+      return 0;
   // Canonicalize the delta (sort, sum duplicates), then merge the two
   // sorted runs, dropping exact-zero sums.
   std::vector<std::pair<Idx, double>> D = Delta;
@@ -179,7 +182,6 @@ TensorCatalog::appendSparse(const std::string &Name,
   DC.reserve(D.size());
   for (size_t I = 0; I < D.size();) {
     Idx C = D[I].first;
-    ETCH_ASSERT(C >= 0 && C < V.Size, "append coordinate out of range");
     double X = 0.0;
     for (; I < D.size() && D[I].first == C; ++I)
       X += D[I].second;

@@ -109,7 +109,9 @@ public:
   /// The current epoch (monotonically increasing; bumped per mutation).
   uint64_t epoch() const { return snapshot()->epoch(); }
 
-  /// Installs (or replaces) a tensor; returns the new epoch.
+  /// Installs (or replaces) a tensor; returns the new epoch. putCsr
+  /// returns 0 and installs nothing unless \p Row precedes \p Col in the
+  /// global attribute order.
   uint64_t putCsr(const std::string &Name, CsrMatrix<double> M, Attr Row,
                   Attr Col);
   uint64_t putSparse(const std::string &Name, SparseVector<double> V, Attr A);
@@ -117,8 +119,9 @@ public:
 
   /// COW append: merges the canonicalized \p Delta into \p Name (semiring
   /// addition on colliding coordinates, exact-zero sums dropped) and
-  /// installs the result as a new version. Returns 0 if \p Name is absent
-  /// or not of the matching kind.
+  /// installs the result as a new version. Returns 0, installing nothing,
+  /// if \p Name is absent, not of the matching kind, or any delta
+  /// coordinate lies outside its shape.
   uint64_t appendCsr(const std::string &Name,
                      const std::vector<CooEntry<double>> &Delta);
   uint64_t appendSparse(const std::string &Name,

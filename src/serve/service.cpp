@@ -26,8 +26,10 @@ uint64_t ContractionService::loadCsr(const std::string &Name,
                                      Attr Col) {
   std::lock_guard<std::mutex> W(WriteMu);
   uint64_t E = Catalog.putCsr(Name, std::move(M), Row, Col);
-  Plans.invalidateTensor(Name);
-  Views->onReplace(Name, Catalog.snapshot());
+  if (E) {
+    Plans.invalidateTensor(Name);
+    Views->onReplace(Name, Catalog.snapshot());
+  }
   return E;
 }
 

@@ -98,6 +98,9 @@ public:
 
   /// Write-through mutations: forward to the catalog, then drop cached
   /// plans reading the tensor (stale keys would only age out via LRU).
+  /// A write the catalog rejects (epoch 0: out-of-range coordinates, a
+  /// CSR whose row attribute does not precede its column) touches
+  /// neither cached plans nor views.
   uint64_t loadCsr(const std::string &Name, CsrMatrix<double> M, Attr Row,
                    Attr Col);
   uint64_t loadSparse(const std::string &Name, SparseVector<double> V,

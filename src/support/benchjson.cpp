@@ -6,8 +6,6 @@
 
 #include "support/benchjson.h"
 
-#include "support/simd.h"
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -92,9 +90,7 @@ std::string BenchJson::hostJson() {
   }
   unsigned Cores = std::thread::hardware_concurrency();
   return "{\"cpu\": \"" + escapeJson(Cpu) +
-         "\", \"cores\": " + std::to_string(Cores ? Cores : 1) +
-         ", \"simd\": \"" + simdDescription() +
-         "\", \"simd_width\": " + std::to_string(simdWidth()) + "}";
+         "\", \"cores\": " + std::to_string(Cores ? Cores : 1) + "}";
 }
 
 std::string BenchJson::toJson() const {

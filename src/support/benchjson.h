@@ -11,10 +11,9 @@
 /// JSON object `{"host": {...}, "rows": [...]}` so the performance
 /// trajectory is machine-trackable across PRs; the checked-in
 /// `bench/results/BENCH_*.json` files are produced this way. The host
-/// block records the cpu model, core count, and compiled-in SIMD
-/// configuration, so checked-in trajectories from different recording
-/// machines are comparable. Also hosts the shared `--json` / `--threads`
-/// argv parsing used by those drivers.
+/// block records the cpu model and core count, so checked-in trajectories
+/// from different recording machines are comparable. Also hosts the shared
+/// `--json` / `--threads` argv parsing used by those drivers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +39,7 @@ public:
            double BestSeconds, double PlannerCost);
 
   /// Appends one row additionally carrying the access-pattern term of the
-  /// cost ("planner_access_cost", planner/indexing.h) — the component
-  /// that drives tiled-vs-plain schedule selection.
+  /// cost ("planner_access_cost", planner/indexing.h).
   void add(const std::string &Bench, const std::string &Config, int Threads,
            double BestSeconds, double PlannerCost, double AccessCost);
 
@@ -51,7 +49,7 @@ public:
   std::string toJson() const;
 
   /// The host-metadata block alone (cpu model from /proc/cpuinfo, core
-  /// count, compiled-in SIMD width) as a JSON object literal.
+  /// count) as a JSON object literal.
   static std::string hostJson();
 
   /// Writes toJson() to \p Path; returns false (with a message on stderr)

@@ -24,7 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <regex>
+#include <thread>
 
 using namespace etch;
 
@@ -482,15 +482,6 @@ TEST(StepCounts, TpchRevenueQueryShrinksAtO1) {
 // Golden C emission at -O0 / -O1
 //===----------------------------------------------------------------------===//
 
-std::string normalizeCounters(std::string S) {
-  // The skip-latch (skc) and snapshot (skt) name counters are
-  // process-global; normalise their digits so the golden text is stable
-  // regardless of test execution order.
-  S = std::regex_replace(S, std::regex("skc[0-9]+"), "skc");
-  S = std::regex_replace(S, std::regex("skt[0-9]+"), "skt");
-  return S;
-}
-
 std::string compileAndRunC(const std::string &Source, const char *Tag) {
   std::string Dir = ::testing::TempDir();
   std::string CPath = Dir + "/golden_" + Tag + ".c";
@@ -515,6 +506,71 @@ std::string compileAndRunC(const std::string &Source, const char *Tag) {
   EXPECT_EQ(pclose(Pipe), 0);
   return RunOut;
 }
+
+/// The O1 Fig. 2 program, verbatim. Temporaries are numbered by the
+/// compilation's own NameGen, so the text is exact whatever ran before.
+const char *const Fig2O1Golden = R"C(// Generated by etch (indexed-stream compiler reproduction).
+#include <inttypes.h>
+#include <math.h>
+#include <stdbool.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+static int64_t x_crd0[] = {1, 4, 7};
+static int64_t x_pos0[] = {0, 3};
+static double x_vals[] = {2.0, 3.0, 5.0};
+static int64_t y_crd0[] = {0, 4, 7, 9};
+static int64_t y_pos0[] = {0, 4};
+static double y_vals[] = {1.0, 2.0, 2.0, 9.0};
+static int64_t z_crd0[] = {4, 7, 8};
+static int64_t z_pos0[] = {0, 3};
+static double z_vals[] = {10.0, 3.0, 1.0};
+
+int main(void) {
+  double out = 0.0;
+  int64_t x_crd0_p0 = 0;
+  int64_t x_crd0_e1 = 0;
+  int64_t y_crd0_p5 = 0;
+  int64_t y_crd0_e6 = 0;
+  int64_t z_crd0_p10 = 0;
+  int64_t z_crd0_e11 = 0;
+  x_crd0_p0 = x_pos0[0];
+  x_crd0_e1 = x_pos0[1];
+  y_crd0_p5 = y_pos0[0];
+  y_crd0_e6 = y_pos0[1];
+  z_crd0_p10 = z_pos0[0];
+  z_crd0_e11 = z_pos0[1];
+  while ((((x_crd0_p0 < x_crd0_e1) && (y_crd0_p5 < y_crd0_e6)) && (z_crd0_p10 < z_crd0_e11))) {
+    if ((((((x_crd0_p0 < x_crd0_e1) && (y_crd0_p5 < y_crd0_e6)) && (x_crd0[x_crd0_p0] == y_crd0[y_crd0_p5])) && (z_crd0_p10 < z_crd0_e11)) && (((x_crd0[x_crd0_p0] > y_crd0[y_crd0_p5]) ? x_crd0[x_crd0_p0] : y_crd0[y_crd0_p5]) == z_crd0[z_crd0_p10]))) {
+      out = (out + ((x_vals[x_crd0_p0] * y_vals[y_crd0_p5]) * z_vals[z_crd0_p10]));
+      int64_t skt16 = ((((x_crd0[x_crd0_p0] > y_crd0[y_crd0_p5]) ? x_crd0[x_crd0_p0] : y_crd0[y_crd0_p5]) > z_crd0[z_crd0_p10]) ? ((x_crd0[x_crd0_p0] > y_crd0[y_crd0_p5]) ? x_crd0[x_crd0_p0] : y_crd0[y_crd0_p5]) : z_crd0[z_crd0_p10]);
+      while (((x_crd0_p0 < x_crd0_e1) && (x_crd0[x_crd0_p0] <= skt16))) {
+        x_crd0_p0 = (x_crd0_p0 + 1);
+      }
+      while (((y_crd0_p5 < y_crd0_e6) && (y_crd0[y_crd0_p5] <= skt16))) {
+        y_crd0_p5 = (y_crd0_p5 + 1);
+      }
+      while (((z_crd0_p10 < z_crd0_e11) && (z_crd0[z_crd0_p10] <= skt16))) {
+        z_crd0_p10 = (z_crd0_p10 + 1);
+      }
+    } else {
+      int64_t skt18 = ((((x_crd0[x_crd0_p0] > y_crd0[y_crd0_p5]) ? x_crd0[x_crd0_p0] : y_crd0[y_crd0_p5]) > z_crd0[z_crd0_p10]) ? ((x_crd0[x_crd0_p0] > y_crd0[y_crd0_p5]) ? x_crd0[x_crd0_p0] : y_crd0[y_crd0_p5]) : z_crd0[z_crd0_p10]);
+      while (((x_crd0_p0 < x_crd0_e1) && (x_crd0[x_crd0_p0] < skt18))) {
+        x_crd0_p0 = (x_crd0_p0 + 1);
+      }
+      while (((y_crd0_p5 < y_crd0_e6) && (y_crd0[y_crd0_p5] < skt18))) {
+        y_crd0_p5 = (y_crd0_p5 + 1);
+      }
+      while (((z_crd0_p10 < z_crd0_e11) && (z_crd0[z_crd0_p10] < skt18))) {
+        z_crd0_p10 = (z_crd0_p10 + 1);
+      }
+    }
+  }
+  printf("out=%.17g\n", (double)out);
+  return 0;
+}
+)C";
 
 TEST(GoldenC, Fig2AtBothOptLevels) {
   auto X = vec(10, {{1, 2.0}, {4, 3.0}, {7, 5.0}});
@@ -548,8 +604,9 @@ TEST(GoldenC, Fig2AtBothOptLevels) {
   // Golden structure: the unoptimized kernel carries the dead skip
   // latches (`skc = <index>` before every skip call at a contracted
   // level); the optimized one must not.
-  EXPECT_NE(normalizeCounters(Src0).find("skc"), std::string::npos);
-  EXPECT_EQ(normalizeCounters(Src1).find("skc"), std::string::npos);
+  EXPECT_NE(Src0.find("skc"), std::string::npos);
+  EXPECT_EQ(Src1.find("skc"), std::string::npos);
+  EXPECT_EQ(Src1, Fig2O1Golden);
   // And it must be smaller outright.
   EXPECT_LT(countStmtNodes(P1), countStmtNodes(P0));
   EXPECT_LT(Src1.size(), Src0.size());
@@ -564,6 +621,76 @@ TEST(GoldenC, Fig2AtBothOptLevels) {
   ASSERT_FALSE(E1.has_value()) << *E1;
   EXPECT_EQ(std::get<double>(*M0.getScalar("out")), 90.0);
   EXPECT_EQ(std::get<double>(*M1.getScalar("out")), 90.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Deterministic lowering
+//===----------------------------------------------------------------------===//
+
+/// The P text and kernel C of two unoptimized lowerings, each in a fresh
+/// context: the Fig. 2 full contraction (its contracted-level skips latch
+/// skc/skt temporaries) and a compiled group-by Σ_o M(o,l) into a hash
+/// destination (one hsl slot per locate).
+std::string lowerSample() {
+  std::string Out;
+  auto Render = [&](const PRef &P) {
+    std::string Err;
+    auto Manifest = deriveKernelManifest(P, &Err);
+    EXPECT_TRUE(Manifest) << Err;
+    Out += P->toString();
+    if (Manifest)
+      Out += emitCKernel(P, *Manifest);
+  };
+  {
+    LowerCtx Ctx;
+    Ctx.OptLevel = 0;
+    Ctx.setDim(attrO(), 10);
+    for (const char *N : {"x", "y", "z"})
+      Ctx.bind(sparseVecBinding(N, attrO()));
+    Render(compileFullContraction(
+        Ctx, Expr::var("x") * Expr::var("y") * Expr::var("z"), "out"));
+  }
+  {
+    LowerCtx Ctx;
+    Ctx.OptLevel = 0;
+    Ctx.setDim(attrO(), 10);
+    Ctx.setDim(attrL(), 12);
+    Ctx.bind(csrBinding("M", attrO(), attrL()));
+    Render(PStmt::seq2(
+        PStmt::declVar("gcnt", ImpType::I64, eConstI(0)),
+        compileExpr(Ctx, Expr::sum(attrO(), Expr::var("M")),
+                    hashDest(f64Algebra(), "gkey", "gval", "gcnt", 32))));
+  }
+  return Out;
+}
+
+TEST(LoweringDeterminism, SameExpressionLowersToIdenticalText) {
+  // Temporaries are named by the compilation's own NameGen, so equal
+  // expressions emit equal P and C — the property the content-addressed
+  // JIT cache keys on.
+  std::string First = lowerSample();
+  EXPECT_EQ(lowerSample(), First);
+  for (const char *Temp : {"skc", "skt", "hsl"})
+    EXPECT_NE(First.find(Temp), std::string::npos) << Temp;
+}
+
+TEST(LoweringDeterminism, ConcurrentLoweringIsRaceFree) {
+  // Plan misses lower on pool threads; no lowering state may be shared
+  // between compilations (run under TSan in CI).
+  const std::string Want = lowerSample();
+  constexpr int Threads = 8, Rounds = 4;
+  std::vector<std::vector<std::string>> Got(Threads);
+  std::vector<std::thread> Ts;
+  for (int T = 0; T < Threads; ++T)
+    Ts.emplace_back([&Got, T] {
+      for (int R = 0; R < Rounds; ++R)
+        Got[static_cast<size_t>(T)].push_back(lowerSample());
+    });
+  for (std::thread &T : Ts)
+    T.join();
+  for (const std::vector<std::string> &PerThread : Got)
+    for (const std::string &Text : PerThread)
+      EXPECT_EQ(Text, Want);
 }
 
 //===----------------------------------------------------------------------===//

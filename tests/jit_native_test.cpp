@@ -225,75 +225,6 @@ TEST(JitNative, SpmvAgainstOracle) {
   EXPECT_NEAR(std::get<double>(*PR.NatMem.getScalar("out")), Want, 1e-9);
 }
 
-TEST(JitNative, TileDenseTailsBlocksLoopsAndPreservesBits) {
-  if (!jitToolchain().Available)
-    GTEST_SKIP() << "no system C compiler: " << jitToolchain().Diag;
-  Rng R(57);
-  auto A = randomCsr(R, 40, 40, 300);
-  auto X = randomSparseVector(R, 40, 20);
-
-  LowerCtx Ctx;
-  Ctx.OptLevel = 2;
-  Ctx.setDim(AI(), 40);
-  Ctx.setDim(AJ(), 40);
-  Ctx.bind(csrBinding("A", AI(), AJ()));
-  Ctx.bind(sparseVecBinding("x", AJ()));
-  std::string Err;
-  ExprPtr Prod = mulExpand(Expr::var("A"), Expr::var("x"), Ctx.types(), &Err);
-  ASSERT_NE(Prod, nullptr) << Err;
-  PRef Prog = compileFullContraction(Ctx, Prod, "out");
-
-  // Source level: the option blocks every loop-invariant-bound while loop
-  // into an outer guarded re-check plus a counted inner loop. The blocked
-  // form carries the unsigned block-end clamp; the plain form never does.
-  auto Manifest = deriveKernelManifest(Prog, &Err);
-  ASSERT_TRUE(Manifest) << Err;
-  CKernelOptions Plain, Tiled;
-  Tiled.TileDenseTails = 64;
-  std::string PlainSrc = emitCKernel(Prog, *Manifest, Plain);
-  std::string TiledSrc = emitCKernel(Prog, *Manifest, Tiled);
-  EXPECT_EQ(PlainSrc.find("(uint64_t)64)"), std::string::npos);
-  EXPECT_NE(TiledSrc.find("(uint64_t)64)"), std::string::npos);
-
-  // Step-counting kernels are never blocked: the per-iteration charge
-  // would be re-timed, breaking step parity with the tree VM.
-  CKernelOptions Counted, CountedTiled;
-  Counted.CountSteps = true;
-  CountedTiled.CountSteps = true;
-  CountedTiled.TileDenseTails = 64;
-  EXPECT_EQ(emitCKernel(Prog, *Manifest, Counted),
-            emitCKernel(Prog, *Manifest, CountedTiled));
-
-  // Behavior: tree VM, untiled native, and tiled native agree bit for
-  // bit; the tile is part of the content-address.
-  VmMemory Init;
-  bindCsr(Init, "A", A);
-  bindSparseVector(Init, "x", X);
-  VmMemory TreeM = Init, PlainM = Init, TiledM = Init;
-  VmRunResult TreeR = vmRun(Prog, TreeM);
-  ASSERT_FALSE(TreeR.Error.has_value());
-
-  ScopedCache Cache("tiledtails");
-  NativeKernelRef PK = jitCompile(Prog, Cache.opts(false), &Err);
-  ASSERT_NE(PK, nullptr) << Err;
-  JitOptions TO = Cache.opts(false);
-  TO.TileDenseTails = 64;
-  NativeKernelRef TK = jitCompile(Prog, TO, &Err);
-  ASSERT_NE(TK, nullptr) << Err;
-  EXPECT_NE(PK->key(), TK->key());
-
-  VmRunResult PlainR = PK->run(PlainM);
-  VmRunResult TiledR = TK->run(TiledM);
-  ASSERT_FALSE(PlainR.Error.has_value());
-  ASSERT_FALSE(TiledR.Error.has_value());
-  auto Want = TreeM.getScalar("out");
-  ASSERT_TRUE(Want.has_value());
-  ASSERT_TRUE(PlainM.getScalar("out").has_value());
-  ASSERT_TRUE(TiledM.getScalar("out").has_value());
-  EXPECT_TRUE(bitsEq(*Want, *PlainM.getScalar("out")));
-  EXPECT_TRUE(bitsEq(*Want, *TiledM.getScalar("out")));
-}
-
 TEST(JitNative, HashDestGroupByMatchesTreeVm) {
   // The PR-6 compiled group-by: probe/insert into caller-provided hash
   // arrays. The kernel mutates bound arrays in place, so this also pins

@@ -237,6 +237,38 @@ TEST(Serve, UnknownTensorFailsWithoutCachingAnything) {
   EXPECT_EQ(PS.PlannerRuns, 0u);
 }
 
+TEST(Serve, OutOfRangeWritesAreRejectedWithoutSideEffects) {
+  // Client coordinates cross a trust boundary: a bad write must come back
+  // as epoch 0 with the catalog, the cached plans and registered views
+  // exactly as they were — never an abort.
+  ServeData Data;
+  ScopedService Svc("reject", Data);
+  std::string Err;
+  ASSERT_TRUE(Svc->registerView("spmv", ServeQuery{{"A", "x"}}, &Err)) << Err;
+  ASSERT_TRUE(Svc->query(ServeQuery{{"A", "x"}}).Ok);
+  auto Before = Svc->readView("spmv");
+  ASSERT_TRUE(Before && Before->Ok);
+  const uint64_t Epoch = Svc->snapshot()->epoch();
+  CatalogTensorRef A = Svc->snapshot()->find("A");
+  CatalogTensorRef X = Svc->snapshot()->find("x");
+  const uint64_t Invalidations = Svc->planStats().Invalidations;
+
+  // One in-range entry rides with the bad one: nothing may merge.
+  EXPECT_EQ(Svc->appendCsr("A", {{0, 0, 1.0}, {30, 0, 1.0}}), 0u);
+  EXPECT_EQ(Svc->appendSparse("x", {{40, 1.0}}), 0u);
+  // SJ follows SI in the global order, so (SJ, SI) is out of order.
+  EXPECT_EQ(Svc->loadCsr("A", Data.A, SJ(), SI()), 0u);
+
+  EXPECT_EQ(Svc->snapshot()->epoch(), Epoch);
+  EXPECT_EQ(Svc->snapshot()->find("A"), A);
+  EXPECT_EQ(Svc->snapshot()->find("x"), X);
+  EXPECT_EQ(Svc->planStats().Invalidations, Invalidations);
+  auto After = Svc->readView("spmv");
+  ASSERT_TRUE(After && After->Ok);
+  EXPECT_TRUE(sameBits(After->Value, Before->Value));
+  EXPECT_EQ(After->Epoch, Before->Epoch);
+}
+
 //===----------------------------------------------------------------------===//
 // Snapshot isolation
 //===----------------------------------------------------------------------===//

@@ -6,7 +6,6 @@
 
 #include "support/benchjson.h"
 #include "support/rng.h"
-#include "support/simd.h"
 #include "support/table.h"
 #include "support/timer.h"
 
@@ -146,11 +145,6 @@ TEST(BenchJson, HostBlockRecordsMachineMetadata) {
   std::string Host = BenchJson::hostJson();
   EXPECT_NE(Host.find("\"cpu\": \""), std::string::npos);
   EXPECT_NE(Host.find("\"cores\": "), std::string::npos);
-  EXPECT_NE(Host.find("\"simd\": \""), std::string::npos);
-  // The recorded width matches the compiled-in SIMD configuration, so a
-  // scalar build and a SIMD build are distinguishable in checked-in JSON.
-  EXPECT_NE(Host.find("\"simd_width\": " + std::to_string(simdWidth())),
-            std::string::npos);
 }
 
 TEST(BenchJson, AccessCostRowCarriesBothCostTerms) {

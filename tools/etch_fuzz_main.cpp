@@ -52,7 +52,6 @@ struct Options {
   bool Verbose = false;
   bool Formats = false; // also run the level-format cross-check matrix
   bool Delta = false;   // the incremental-maintenance legs instead
-  bool Tiles = false;   // also run the dense-tail tiling cross-check
   double HugeProb = 0.10;
   size_t Orders = 1; // legal attribute orders per case; 1 = original only
   VmBackend Backend = VmBackend::Both;
@@ -70,7 +69,7 @@ constexpr int ExitSkip = 77;
       "usage: %s [--seeds N] [--start S] [--time-budget SEC]\n"
       "          [--corpus DIR] [--replay FILE|DIR] [--no-shrink]\n"
       "          [--orders N] [--huge-prob P] [--formats] [--delta]\n"
-      "          [--tiles] [--verbose]\n"
+      "          [--verbose]\n"
       "          [--backend tree|bytecode|both|native]\n"
       "          [--jit-cache-dir DIR]\n",
       Argv0);
@@ -102,8 +101,6 @@ Options parseArgs(int Argc, char **Argv) {
       O.Formats = true;
     else if (A == "--delta")
       O.Delta = true;
-    else if (A == "--tiles")
-      O.Tiles = true;
     else if (A == "--verbose")
       O.Verbose = true;
     else if (A == "--huge-prob")
@@ -130,9 +127,8 @@ Options parseArgs(int Argc, char **Argv) {
   return O;
 }
 
-/// The executor matrix, plus the level-format matrix under --formats and
-/// the dense-tail tiling matrix under --tiles (their divergences are
-/// appended, so shrinking and repro comments see them all).
+/// The executor matrix, plus the level-format matrix under --formats (its
+/// divergences are appended, so shrinking and repro comments see them all).
 /// Under --delta the per-case matrix is the delta-rewrite identity check
 /// instead (ivm/deltafuzz.h); the batch seed derives from the case itself,
 /// so generation, shrinking, and corpus replay all rebuild the same batch.
@@ -143,10 +139,6 @@ FuzzReport runMatrix(const FuzzCase &C, const Options &O) {
   if (O.Formats && !Rep.Invalid) {
     FuzzReport FRep = runFuzzFormats(C, O.Backend);
     Rep.Divs.insert(Rep.Divs.end(), FRep.Divs.begin(), FRep.Divs.end());
-  }
-  if (O.Tiles && !Rep.Invalid) {
-    FuzzReport TRep = runFuzzTiles(C);
-    Rep.Divs.insert(Rep.Divs.end(), TRep.Divs.begin(), TRep.Divs.end());
   }
   return Rep;
 }
@@ -313,7 +305,7 @@ int fuzz(const Options &O) {
 
 int main(int Argc, char **Argv) {
   Options O = parseArgs(Argc, Argv);
-  if (O.Backend == VmBackend::Native || O.Tiles) {
+  if (O.Backend == VmBackend::Native) {
     // The executor matrix resolves its cache dir through the environment.
     if (!O.JitCacheDir.empty())
       setenv("ETCH_JIT_CACHE", O.JitCacheDir.c_str(), 1);
